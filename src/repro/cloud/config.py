@@ -123,7 +123,7 @@ class CloudConfig:
     #: user population, and cache hits never change outcomes.
     proof_cache_capacity: Optional[int] = None
     #: How the proof cache reacts to a policy version install:
-    #: ``"precise"`` (default) keeps — re-keyed to the new version — every
+    #: ``"precise"`` (default) keeps — relabelled to the new version — every
     #: entry whose dependency closure the install's rule diff provably
     #: cannot affect (:mod:`repro.policy.analyze` impact analysis);
     #: ``"coarse"`` drops the whole administrative domain, the historical

@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.cloud.messages import PROTOCOL_CATEGORIES
 from repro.policy.rules import EngineCounters
 from repro.sim.network import Message
-from repro.sim.topology import RegionTopology, estimate_message_size
+from repro.sim.topology import RegionTopology, message_wire_size
 
 
 class MessageCounters:
@@ -98,7 +98,7 @@ class RegionMessageCounters:
             self.topology.region_of(message.dst),
         )
         self.by_pair[pair] += 1
-        self.bytes_by_pair[pair] += estimate_message_size(message.payload)
+        self.bytes_by_pair[pair] += message_wire_size(message)
         if pair[0] == pair[1]:
             self.intra_region += 1
         else:

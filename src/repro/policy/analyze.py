@@ -856,10 +856,7 @@ def changed_predicates(old: RuleSet, new: RuleSet) -> FrozenSet[str]:
     a predicate none of whose defining rules changed derives exactly the
     same atoms from any fixed fact base.
     """
-    old_rules, new_rules = set(old.rules), set(new.rules)
-    return frozenset(
-        rule.head.predicate for rule in old_rules.symmetric_difference(new_rules)
-    )
+    return frozenset(rule.head.predicate for rule in old.rule_set ^ new.rule_set)
 
 
 def dependency_closure(rules: RuleSet, goals: Iterable[str]) -> FrozenSet[str]:
@@ -872,8 +869,8 @@ def dependency_closure(rules: RuleSet, goals: Iterable[str]) -> FrozenSet[str]:
     the verdict — the soundness argument behind predicate-precise cache
     invalidation (see docs/policy-analysis.md).
     """
-    graph = PredicateGraph(clauses_from_rules(rules))
-    return frozenset(graph.reachable_from(tuple(goals)))
+    closures = [rules.predicate_closure(goal) for goal in goals]
+    return closures[0] if len(closures) == 1 else frozenset().union(*closures)
 
 
 @dataclass(frozen=True)

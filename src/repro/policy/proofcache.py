@@ -29,8 +29,8 @@ mutations that *can* change verdicts without any key changing:
   installed.  Old-version entries could no longer hit — their key pins the
   version — so coarse mode simply drops the domain.  Precise mode (the
   default) instead diffs the outgoing and incoming rule sets
-  (:func:`repro.policy.analyze.changed_predicates`) and *re-keys* to the
-  new version every entry whose recorded dependency closure the diff
+  (:func:`repro.policy.analyze.changed_predicates`) and *relabels* to
+  the new version every entry whose recorded dependency closure the diff
   provably cannot affect, dropping only the rest;
 * **credential revocations** — :meth:`repro.policy.credentials.CARegistry.
   subscribe_revocations` calls :meth:`ProofCache.invalidate_credential`,
@@ -47,13 +47,13 @@ benchmarks measure.  Enable/disable via
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import Span, annotate
 from repro.policy.analyze import changed_predicates, dependency_closure
 from repro.policy.credentials import CARegistry, Credential
-from repro.policy.policy import GUARD_PREDICATES, Operation, Policy, PolicyId
+from repro.policy.policy import GUARD_PREDICATES, Operation, Policy
 from repro.policy.proofs import (
     LocalRevocationChecker,
     ProofOfAuthorization,
@@ -61,29 +61,45 @@ from repro.policy.proofs import (
     evaluate_proof,
 )
 
-#: (policy id, policy version, user, operation, items, credential ids,
-#:  revocation-checker identity) — everything a verdict depends on besides
-#: the position of ``now`` relative to credential validity boundaries.
-CacheKey = Tuple[
-    PolicyId, int, str, Operation, Tuple[str, ...], FrozenSet[str], object
-]
+#: (policy admin, policy version, user, operation value, items, credential
+#:  ids, revocation-checker identity) — everything a verdict depends on
+#: besides the position of ``now`` relative to credential validity
+#: boundaries.  The admin and operation appear as their strings, so hashing
+#: a key never calls back into Python.
+CacheKey = Tuple[str, int, str, str, Tuple[str, ...], FrozenSet[str], object]
 
 
-@dataclass
 class _Entry:
-    """One memoized evaluation with its temporal validity window."""
+    """One memoized evaluation with its temporal validity window.
 
-    proof: ProofOfAuthorization
-    #: Verdicts are constant for ``window_start <= now < window_end``.
-    window_start: float
-    window_end: float
-    #: Every predicate this proof's derivation may have consulted: the
-    #: downward closure of the goal predicate over the policy version the
-    #: proof was evaluated under (see
-    #: :func:`repro.policy.analyze.dependency_closure`).  Captured at store
-    #: time so a later policy install can decide whether this entry could
-    #: possibly be affected by the diff.
-    deps: FrozenSet[str] = frozenset()
+    Indexed by identity, so relabelling it to a new policy version (a new
+    ``key``) leaves the domain and credential indexes untouched.
+    """
+
+    __slots__ = ("key", "proof", "window_start", "window_end", "deps")
+
+    def __init__(
+        self,
+        key: CacheKey,
+        proof: ProofOfAuthorization,
+        window_start: float,
+        window_end: float,
+        deps: FrozenSet[str],
+    ) -> None:
+        self.key = key
+        #: As evaluated; its ``policy_version`` may trail ``key`` after a
+        #: relabel, and a hit stamps the served version.
+        self.proof = proof
+        #: Verdicts are constant for ``window_start <= now < window_end``.
+        self.window_start = window_start
+        self.window_end = window_end
+        #: Every predicate this proof's derivation may have consulted: the
+        #: downward closure of the goal predicate over the policy version the
+        #: proof was evaluated under (see
+        #: :func:`repro.policy.analyze.dependency_closure`).  Captured at store
+        #: time so a later policy install can decide whether this entry could
+        #: possibly be affected by the diff.
+        self.deps = deps
 
 
 class ProofCache:
@@ -99,7 +115,7 @@ class ProofCache:
 
     ``invalidation`` selects how :meth:`invalidate_policy` reacts to a
     version install: ``"coarse"`` (drop the whole administrative domain,
-    the historical behavior) or ``"precise"`` (keep — and re-key to the
+    the historical behavior) or ``"precise"`` (keep — and relabel to the
     new version — every entry whose dependency closure is disjoint from
     the install's changed predicates; see ``docs/policy-analysis.md`` for
     the soundness argument).  Both modes are verdict-identical; precise
@@ -121,14 +137,11 @@ class ProofCache:
         self.server = server
         self.capacity = capacity
         self.invalidation = invalidation
+        #: Every entry, least recently used first.
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
-        self._keys_by_policy: Dict[PolicyId, Set[CacheKey]] = {}
-        self._keys_by_credential: Dict[str, Set[CacheKey]] = {}
-        #: (policy id, version, goal predicate) -> dependency closure; the
-        #: closure is a pure function of the version's rules, so memoizing
-        #: it makes per-entry dependency capture O(1) after the first
-        #: evaluation under a version.
-        self._deps_memo: Dict[Tuple[PolicyId, int, str], FrozenSet[str]] = {}
+        #: Each domain's entries in the same relative order as ``_entries``.
+        self._by_policy: Dict[str, "OrderedDict[_Entry, None]"] = {}
+        self._by_credential: Dict[str, Dict[_Entry, None]] = {}
 
     # -- the memoized entry point -------------------------------------------------
 
@@ -151,9 +164,10 @@ class ProofCache:
 
         On a hit, the cached record is replayed with the caller's fresh
         ``query_id``, ``server``, and ``evaluated_at`` (those fields don't
-        influence the verdict).  Anything that can't be keyed safely — an
-        uncacheable checker, a malformed credential object — bypasses the
-        cache and evaluates directly.  ``counters`` (an
+        influence the verdict) and with ``policy``'s version, which a
+        relabelled entry's stored proof predates.  Anything that can't be
+        keyed safely — an uncacheable checker, a malformed credential
+        object — bypasses the cache and evaluates directly.  ``counters`` (an
         :class:`~repro.policy.rules.EngineCounters`) is forwarded to the
         inference engine on misses and bypasses; hits do no inference, so
         they add nothing to it.  ``obs_span`` gets a ``cache`` attribute
@@ -173,10 +187,15 @@ class ProofCache:
         entry = self._entries.get(key)
         if entry is not None and entry.window_start <= now < entry.window_end:
             self._entries.move_to_end(key)
+            self._by_policy[key[0]].move_to_end(entry)
             if self.stats is not None:
                 self.stats.on_hit(self.server)
             proof = replace(
-                entry.proof, query_id=query_id, server=server, evaluated_at=now
+                entry.proof,
+                query_id=query_id,
+                server=server,
+                evaluated_at=now,
+                policy_version=policy.version,
             )
             annotate(
                 obs_span,
@@ -193,8 +212,8 @@ class ProofCache:
             server, now, registry, revocation, counters, obs_span,
         )
         window_start, window_end = self._validity_window(credentials, now, revocation)
-        deps = self._deps_for(policy, operation)
-        self._store(key, _Entry(proof, window_start, window_end, deps))
+        deps = dependency_closure(policy.rules, (GUARD_PREDICATES[operation],))
+        self._store(key, proof, window_start, window_end, deps)
         if self.stats is not None:
             self.stats.on_miss(self.server)
         return proof
@@ -213,7 +232,7 @@ class ProofCache:
         diffs the two versions (:func:`~repro.policy.analyze.
         changed_predicates`) and *keeps* every entry of the outgoing
         version whose captured dependency closure is disjoint from the
-        changed predicates, re-keying it to the new version number: such
+        changed predicates, relabelling it to the new version number: such
         an entry's reachable rule fragment is rule-for-rule identical
         under both versions, so a fresh evaluation under ``policy`` would
         reproduce the cached verdict, derivations, and reason exactly
@@ -221,37 +240,34 @@ class ProofCache:
         *other* version are always dropped — they are stale deliveries we
         never diffed against.
         """
+        domain = self._by_policy.get(policy.admin)
+        if domain is None:
+            return 0
         if (
             self.invalidation != "precise"
             or previous is None
             or previous.policy_id != policy.policy_id
             or previous.version >= policy.version
         ):
-            keys = self._keys_by_policy.pop(policy.policy_id, set())
-            return self._drop(keys)
+            return self._drop(list(domain))
 
         changed = changed_predicates(previous.rules, policy.rules)
-        domain_keys = self._keys_by_policy.get(policy.policy_id, set())
-        # Iterate in entry insertion order (never raw set order) so the
-        # LRU sequence after an install is hash-seed independent.
-        ordered = [key for key in self._entries if key in domain_keys]
-        to_drop: Set[CacheKey] = set()
-        retained = 0
-        for key in ordered:
-            if key[1] != previous.version:
-                to_drop.add(key)
-                continue
-            entry = self._entries[key]
-            if entry.deps & changed:
-                to_drop.add(key)
-                continue
-            self._rekey(key, entry, policy.version)
-            retained += 1
-        if retained:
+        kept: List[_Entry] = []
+        dropped: List[_Entry] = []
+        for entry in domain:
+            if entry.key[1] == previous.version and changed.isdisjoint(entry.deps):
+                kept.append(entry)
+            else:
+                dropped.append(entry)
+        # Drop first, so no relabelled key can collide with a dropped one.
+        count = self._drop(dropped)
+        for entry in kept:
+            self._relabel(entry, policy.version)
+        if kept:
             on_retention = getattr(self.stats, "on_retention", None)
             if on_retention is not None:
-                on_retention(self.server, retained)
-        return self._drop(to_drop)
+                on_retention(self.server, len(kept))
+        return count
 
     def invalidate_credential(self, cred_id: str) -> int:
         """Drop every entry whose credential set contains ``cred_id``.
@@ -260,15 +276,14 @@ class ProofCache:
         the one mutation that changes a verdict while every key component
         stays equal, so this hook is load-bearing for correctness.
         """
-        keys = self._keys_by_credential.pop(cred_id, set())
-        return self._drop(keys)
+        return self._drop(list(self._by_credential.get(cred_id, {})))
 
     def clear(self) -> int:
         """Drop everything (counted as invalidations)."""
         count = len(self._entries)
         self._entries.clear()
-        self._keys_by_policy.clear()
-        self._keys_by_credential.clear()
+        self._by_policy.clear()
+        self._by_credential.clear()
         if count and self.stats is not None:
             self.stats.on_invalidation(self.server, count)
         return count
@@ -296,10 +311,10 @@ class ProofCache:
                 return None  # malformed objects: fail open to direct evaluation
             cred_ids.append(credential.cred_id)
         return (
-            policy.policy_id,
+            policy.admin,
             policy.version,
             user,
-            operation,
+            operation.value,
             tuple(items),
             frozenset(cred_ids),
             token,
@@ -339,72 +354,64 @@ class ProofCache:
                     end = min(end, boundary)
         return start, end
 
-    def _deps_for(self, policy: Policy, operation: Operation) -> FrozenSet[str]:
-        """Dependency closure of ``operation``'s goal predicate, memoized.
-
-        Every goal :meth:`~repro.policy.policy.Policy.goal` builds for one
-        evaluation shares the same guard predicate, so one closure covers
-        the whole entry regardless of how many items it touched.
-        """
-        goal = GUARD_PREDICATES[operation]
-        memo_key = (policy.policy_id, policy.version, goal)
-        deps = self._deps_memo.get(memo_key)
-        if deps is None:
-            deps = dependency_closure(policy.rules, (goal,))
-            self._deps_memo[memo_key] = deps
-        return deps
-
-    def _rekey(self, key: CacheKey, entry: _Entry, new_version: int) -> None:
-        """Carry ``entry`` over to ``new_version`` of the same policy.
+    def _relabel(self, entry: _Entry, version: int) -> None:
+        """Carry ``entry`` over to ``version`` of the same policy.
 
         Only called when the entry's dependency closure is untouched by
         the diff, which also means the closure itself is identical under
         the new version — so ``deps`` carries over unchanged.  The entry
         moves to the most-recent end of the LRU order (deterministically:
-        callers iterate in insertion order).
+        callers go through a domain in LRU order).
         """
-        self._entries.pop(key)
-        self._unindex(key)
-        new_key: CacheKey = (
-            key[0], new_version, key[2], key[3], key[4], key[5], key[6]
-        )
-        entry.proof = replace(entry.proof, policy_version=new_version)
-        self._entries[new_key] = entry
-        self._keys_by_policy.setdefault(new_key[0], set()).add(new_key)
-        for cred_id in new_key[5]:
-            self._keys_by_credential.setdefault(cred_id, set()).add(new_key)
+        key = entry.key
+        del self._entries[key]
+        entry.key = (key[0], version, key[2], key[3], key[4], key[5], key[6])
+        self._entries[entry.key] = entry
+        self._by_policy[key[0]].move_to_end(entry)
 
-    def _store(self, key: CacheKey, entry: _Entry) -> None:
-        if key in self._entries:
+    def _store(
+        self,
+        key: CacheKey,
+        proof: ProofOfAuthorization,
+        window_start: float,
+        window_end: float,
+        deps: FrozenSet[str],
+    ) -> None:
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
+            self._by_policy[key[0]].move_to_end(entry)
+            entry.proof, entry.window_start, entry.window_end = proof, window_start, window_end
+            entry.deps = deps
+            return
+        entry = _Entry(key, proof, window_start, window_end, deps)
         self._entries[key] = entry
-        self._keys_by_policy.setdefault(key[0], set()).add(key)
+        self._by_policy.setdefault(key[0], OrderedDict())[entry] = None
         for cred_id in key[5]:
-            self._keys_by_credential.setdefault(cred_id, set()).add(key)
+            self._by_credential.setdefault(cred_id, {})[entry] = None
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
+                _, evicted = self._entries.popitem(last=False)
                 self._unindex(evicted)
 
-    def _drop(self, keys: Set[CacheKey]) -> int:
+    def _drop(self, entries: Iterable[_Entry]) -> int:
         dropped = 0
-        for key in keys:
-            if self._entries.pop(key, None) is not None:
-                dropped += 1
-            self._unindex(key)
+        for entry in entries:
+            del self._entries[entry.key]
+            self._unindex(entry)
+            dropped += 1
         if dropped and self.stats is not None:
             self.stats.on_invalidation(self.server, dropped)
         return dropped
 
-    def _unindex(self, key: CacheKey) -> None:
-        policy_keys = self._keys_by_policy.get(key[0])
-        if policy_keys is not None:
-            policy_keys.discard(key)
-            if not policy_keys:
-                self._keys_by_policy.pop(key[0], None)
-        for cred_id in key[5]:
-            cred_keys = self._keys_by_credential.get(cred_id)
-            if cred_keys is not None:
-                cred_keys.discard(key)
-                if not cred_keys:
-                    self._keys_by_credential.pop(cred_id, None)
+    def _unindex(self, entry: _Entry) -> None:
+        admin = entry.key[0]
+        domain = self._by_policy[admin]
+        del domain[entry]
+        if not domain:
+            del self._by_policy[admin]
+        for cred_id in entry.key[5]:
+            entries = self._by_credential[cred_id]
+            del entries[entry]
+            if not entries:
+                del self._by_credential[cred_id]

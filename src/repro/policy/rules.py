@@ -70,6 +70,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -92,6 +93,8 @@ class Variable:
 
 
 Term = Union[str, int, Variable]
+K = TypeVar("K")
+V = TypeVar("V")
 Substitution = Dict[Variable, Term]
 
 
@@ -436,11 +439,29 @@ class _ProveState:
         self.renames_avoided = 0
 
 
+def _append(index: Dict[K, List[V]], key: K, value: V, owned: Set[object]) -> None:
+    """Append ``value`` to ``index[key]``, first copying a bucket not yet
+    in ``owned`` (it may be shared with the index this one was copied from)."""
+    if key in owned:
+        index[key].append(value)
+    else:
+        owned.add(key)
+        index[key] = [*index.get(key, ()), value]
+
+
 class RuleSet:
-    """An immutable collection of rules with an indexed, tabled prover."""
+    """An immutable collection of rules with an indexed, tabled prover.
+
+    Immutability makes two per-version views safe to compute lazily and
+    keep: the rules as a frozen set (:attr:`rule_set`, for rule-level
+    diffs between versions) and the head→body predicate adjacency with a
+    memo of per-goal closures (:meth:`predicate_closure`, for a proof's
+    dependency set).  :meth:`extended` builds a successor that extends
+    this rule set's indexes instead of rebuilding them.
+    """
 
     def __init__(self, rules: Iterable[Rule]) -> None:
-        self._rules: Tuple[Rule, ...] = tuple(rules)
+        self._rules: Tuple[Rule, ...] = ()
         self._by_head: Dict[str, List[Rule]] = {}
         #: (predicate, arity) → rules whose head's first argument is a
         #: variable (or the head is nullary): candidates for *every* goal
@@ -452,16 +473,81 @@ class RuleSet:
         #: Memoized merged candidate lists (the rule set is immutable, so
         #: a (predicate, arity, first-arg) key always yields the same list).
         self._candidate_cache: Dict[Tuple[str, int, object], Sequence[_IndexedRule]] = {}
-        for position, rule in enumerate(self._rules):
-            self._by_head.setdefault(rule.head.predicate, []).append(rule)
+        self._rule_set: Optional[FrozenSet[Rule]] = None
+        #: head predicate → body predicates, built on first use.
+        self._edges: Optional[Dict[str, Set[str]]] = None
+        #: goal predicate → closure over ``_edges``.
+        self._closures: Dict[str, FrozenSet[str]] = {}
+        self._index(tuple(rules))
+
+    def _index(self, rules: Tuple[Rule, ...]) -> None:
+        """Append ``rules`` to the rule tuple and the head indexes.
+
+        A bucket this call did not create may be shared with the rule set
+        it was copied from, so it is copied before its first append.
+        """
+        start = len(self._rules)
+        self._rules += rules
+        # Keys of the three indexes never collide (str, 2- and 3-tuples),
+        # so one ``owned`` set serves them all.
+        owned: Set[object] = set()
+        for position, rule in enumerate(rules, start):
+            head = rule.head
+            _append(self._by_head, head.predicate, rule, owned)
             indexed = _IndexedRule(position, rule)
-            key = (rule.head.predicate, len(rule.head.args))
-            if rule.head.args and not isinstance(rule.head.args[0], Variable):
-                self._head_first.setdefault(
-                    (key[0], key[1], rule.head.args[0]), []
-                ).append(indexed)
+            if head.args and not isinstance(head.args[0], Variable):
+                key = (head.predicate, len(head.args), head.args[0])
+                _append(self._head_first, key, indexed, owned)
             else:
-                self._head_open.setdefault(key, []).append(indexed)
+                _append(self._head_open, (head.predicate, len(head.args)), indexed, owned)
+
+    def extended(self, extra: Iterable[Rule]) -> "RuleSet":
+        """This rule set followed by ``extra``.
+
+        Equal to ``RuleSet(self.rules + tuple(extra))`` (and of the same
+        class), but its head indexes start as copies of this rule set's
+        and only the buckets ``extra`` appends to are copied, so building
+        it costs O(len(extra)) plus three dictionary copies.
+        """
+        child = type(self)(())
+        child._rules = self._rules
+        child._by_head = dict(self._by_head)
+        child._head_open = dict(self._head_open)
+        child._head_first = dict(self._head_first)
+        child._index(tuple(extra))
+        return child
+
+    # -- per-version views ------------------------------------------------------
+
+    @property
+    def rule_set(self) -> FrozenSet[Rule]:
+        """The rules as a frozen set (computed once per rule set)."""
+        if self._rule_set is None:
+            self._rule_set = frozenset(self._rules)
+        return self._rule_set
+
+    def predicate_closure(self, goal: str) -> FrozenSet[str]:
+        """``goal`` and every predicate reachable from it over head→body
+        edges: all a proof of a ``goal`` atom may consult.  Memoized."""
+        closure = self._closures.get(goal)
+        if closure is None:
+            edges = self._edges
+            if edges is None:
+                edges = self._edges = {}
+                for rule in self._rules:
+                    if rule.body:
+                        edges.setdefault(rule.head.predicate, set()).update(
+                            atom.predicate for atom in rule.body
+                        )
+            seen = {goal}
+            stack = [goal]
+            while stack:
+                for target in edges.get(stack.pop(), ()):
+                    if target not in seen:
+                        seen.add(target)
+                        stack.append(target)
+            closure = self._closures[goal] = frozenset(seen)
+        return closure
 
     @property
     def rules(self) -> Tuple[Rule, ...]:

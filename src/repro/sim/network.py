@@ -37,7 +37,9 @@ class Message:
     (and the dataclass ``__init__`` indirection) is a measurable win.
     """
 
-    __slots__ = ("msg_id", "src", "dst", "kind", "payload", "category", "reply_to")
+    __slots__ = (
+        "msg_id", "src", "dst", "kind", "payload", "category", "reply_to", "wire_size"
+    )
 
     def __init__(
         self,
@@ -56,6 +58,9 @@ class Message:
         self.payload = payload
         self.category = category
         self.reply_to = reply_to
+        #: Estimated bytes on the wire, computed once by whichever consumer
+        #: needs it first (see :func:`repro.sim.topology.message_wire_size`).
+        self.wire_size: Optional[int] = None
 
     def get(self, key: str, default: Any = None) -> Any:
         """Convenience accessor into the payload."""
@@ -78,9 +83,7 @@ class LatencyModel(abc.ABC):
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
         """Draw a delay for a message from ``src`` to ``dst``."""
 
-    def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
-    ) -> float:
+    def sample_message(self, rng: random.Random, message: Message) -> float:
         """Delay for a concrete message.
 
         The default ignores the payload and delegates to :meth:`sample`;
@@ -88,7 +91,7 @@ class LatencyModel(abc.ABC):
         override this to add a message-size / bandwidth transfer term.
         The network calls this entry point for every delivery.
         """
-        return self.sample(rng, src, dst)
+        return self.sample(rng, message.src, message.dst)
 
 
 class FixedLatency(LatencyModel):
@@ -102,9 +105,7 @@ class FixedLatency(LatencyModel):
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
         return self.delay
 
-    def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
-    ) -> float:
+    def sample_message(self, rng: random.Random, message: Message) -> float:
         # Skips two call frames on the per-message hot path.
         return self.delay
 
@@ -121,9 +122,7 @@ class UniformLatency(LatencyModel):
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
         return rng.uniform(self.low, self.high)
 
-    def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
-    ) -> float:
+    def sample_message(self, rng: random.Random, message: Message) -> float:
         # Skips a call frame on the per-message hot path.
         return rng.uniform(self.low, self.high)
 
@@ -412,7 +411,7 @@ class Network:
                     **_correlation(message.payload),
                 )
         else:
-            delay = self.latency.sample_message(self.rng, src, dst, message.payload)
+            delay = self.latency.sample_message(self.rng, message)
             delay += extra_delay
             env = self.env
             when = env._now + delay

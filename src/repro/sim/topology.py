@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.network import LatencyModel
+from repro.sim.network import LatencyModel, Message
 
 #: The canonical three-datacenter layout used by the scale bench.
 DEFAULT_REGIONS: Tuple[str, ...] = ("us-east", "eu-west", "ap-south")
@@ -238,6 +238,16 @@ def estimate_message_size(payload: Mapping[str, Any]) -> int:
     return MESSAGE_OVERHEAD_BYTES + estimate_wire_size(payload)
 
 
+def message_wire_size(message: Message) -> int:
+    """:func:`estimate_message_size` of ``message``'s payload, estimated
+    once per message and kept on it (the latency model and the region
+    counters both charge it)."""
+    size = message.wire_size
+    if size is None:
+        size = message.wire_size = estimate_message_size(message.payload)
+    return size
+
+
 class RegionalLatency(LatencyModel):
     """Latency model backed by a :class:`RegionTopology`.
 
@@ -263,9 +273,7 @@ class RegionalLatency(LatencyModel):
             delay += profile.transfer_time(size_bytes)
         return delay
 
-    def sample_message(
-        self, rng: random.Random, src: str, dst: str, payload: Mapping[str, Any]
-    ) -> float:
+    def sample_message(self, rng: random.Random, message: Message) -> float:
         if not self.model_transfer_time:
-            return self.sample(rng, src, dst)
-        return self.sample_sized(rng, src, dst, estimate_message_size(payload))
+            return self.sample(rng, message.src, message.dst)
+        return self.sample_sized(rng, message.src, message.dst, message_wire_size(message))

@@ -35,7 +35,7 @@ def benign_successor(policy: Policy) -> RuleSet:
     granting exactly the same accesses.
     """
     marker = Rule(Atom(f"revision_{policy.version + 1}", ()))
-    return RuleSet(tuple(policy.rules.rules) + (marker,))
+    return policy.rules.extended((marker,))
 
 
 def restricting_successor(policy: Policy, required_role: str) -> RuleSet:

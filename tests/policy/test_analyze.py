@@ -17,6 +17,7 @@ import pytest
 from repro.policy.analyze import (
     DEFAULT_ROOTS,
     RULES,
+    PredicateGraph,
     analyze_rules,
     analyze_text,
     changed_predicates,
@@ -28,6 +29,8 @@ from repro.policy.analyze import (
     parse_clauses,
 )
 from repro.policy.parser import parse_rules
+from repro.policy.policy import Policy, PolicyId
+from repro.workloads.updates import benign_successor, restricting_successor
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -220,6 +223,24 @@ def test_clauses_from_rules_roundtrip():
 # -- impact analysis ------------------------------------------------------------
 
 
+def policy_versions():
+    """Every in-tree policy, its benign and restricting successors, and an
+    extension of each that adds a guard rule and an item."""
+    out = []
+    grant = (
+        parse_rules("may_read(U, I) :- badge(U), item(I).\nitem(extra).\n").rules
+    )
+    for _label, rules in intree_policies():
+        base = Policy(PolicyId("app"), 1, rules)
+        for version in (
+            rules,
+            benign_successor(base),
+            restricting_successor(base, "auditor"),
+        ):
+            out += [version, version.extended(grant)]
+    return out
+
+
 def test_changed_predicates_is_rule_level():
     old = parse_rules("member(alice, chart).\nmay_read(U, I) :- member(U, I).\n")
     same = parse_rules("member(alice, chart).\nmay_read(U, I) :- member(U, I).\n")
@@ -232,6 +253,15 @@ def test_changed_predicates_is_rule_level():
     assert changed_predicates(old, same) == frozenset()
     assert changed_predicates(old, bumped) == frozenset({"revision_2"})
     assert changed_predicates(old, rewritten) == frozenset({"may_read"})
+    # The in-tree policies and their successors, fresh and extended.
+    versions = [old, same, bumped, rewritten, old.extended(bumped.rules[2:])]
+    versions += policy_versions()
+    for before in versions:
+        for after in versions:
+            expected = frozenset(
+                rule.head.predicate for rule in set(before.rules) ^ set(after.rules)
+            )
+            assert changed_predicates(before, after) == expected
 
 
 def test_dependency_closure_is_downward_reachability():
@@ -243,6 +273,16 @@ def test_dependency_closure_is_downward_reachability():
     closure = dependency_closure(rules, ("may_read",))
     assert closure == frozenset({"may_read", "member", "cleared", "badge"})
     assert "unrelated" not in closure and "widget" not in closure
+    # Against the analyzer's own graph, on the in-tree policies and their
+    # successors, for every predicate alone and for goal pairs.
+    for version in [rules] + policy_versions():
+        graph = PredicateGraph(clauses_from_rules(version))
+        predicates = sorted(graph.predicates) + ["absent"]
+        goal_sets = [(p,) for p in predicates] + [()] + list(zip(predicates, predicates[1:]))
+        for goals in goal_sets:
+            assert dependency_closure(version, goals) == frozenset(
+                graph.reachable_from(goals)
+            ), goals
 
 
 def test_diff_impact_flags_roots_only_when_reachable():

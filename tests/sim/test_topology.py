@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.network import Message
 from repro.sim.topology import (
     DEFAULT_REGIONS,
     MESSAGE_OVERHEAD_BYTES,
@@ -162,9 +163,12 @@ class TestRegionalLatency:
         rng = random.Random(0)
         payload = {"x": "y"}
         expected_bytes = estimate_message_size(payload)
-        assert model.sample_message(rng, "n1", "n2", payload) == 10.0 + expected_bytes / 100.0
+        message = Message(1, "n1", "n2", "k", payload, "cat")
+        assert model.sample_message(rng, message) == 10.0 + expected_bytes / 100.0
+        assert message.wire_size == expected_bytes
 
     def test_transfer_modeling_can_be_disabled(self):
         _, model = self.make(model_transfer_time=False)
         rng = random.Random(0)
-        assert model.sample_message(rng, "n1", "n2", {"x": "y" * 1000}) == 10.0
+        message = Message(1, "n1", "n2", "k", {"x": "y" * 1000}, "cat")
+        assert model.sample_message(rng, message) == 10.0
