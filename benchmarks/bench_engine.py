@@ -12,7 +12,7 @@ Measures the two innermost loops of the codebase on the **host** clock
   generator-process timeout loop, the two dominant event shapes of every
   simulated run;
 * **kernel queue grid** — the calendar queue against the pinned heap
-  reference (same code, ``queue="heap"``) on the two shapes that dominate
+  reference (same code, ``promote_at=math.inf``) on the two shapes that dominate
   large runs: a timer-storm *drain* and a network *fan-out under an
   expiring timer backlog* (10^5-user scale runs hold ~10^6 pending request
   timeouts that expire throughout).  Reported against numbers recorded on
@@ -21,7 +21,10 @@ Measures the two innermost loops of the codebase on the **host** clock
 * **end-to-end equivalence** — bit-identical ``TransactionOutcome``
   sequences between the engines for all four enforcement approaches at
   both consistency levels, and between the heap and calendar queues
-  (promotion forced) across the same grid.
+  (promotion forced) across the same grid.  The reference side of each
+  pair is reached by rebinding the names the simulator calls: the
+  ``evaluate_proof`` the server and the proof cache use, and the
+  ``Environment`` the testbed builds.
 
 Writes ``BENCH_engine.json`` (repo root by default) — the source of the
 engine table in ``docs/performance.md``.  Run:
@@ -37,21 +40,27 @@ not absolute ops/sec, so the gate is portable across machines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import pathlib
 import random
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
+import repro.cloud.server as server_mod
+import repro.policy.proofcache as proofcache_mod
+import repro.workloads.testbed as testbed_mod
 from repro.analysis.sweep import SweepPoint, run_point
+from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
-from repro.policy import proofs as proofs_mod
 from repro.policy.proofs import evaluate_proof
 from repro.policy.rules_reference import naive_view
 from repro.sim.kernel import Environment
 from repro.sim.network import FixedLatency, Network, Node
+from repro.sim.queues import PROMOTE_THRESHOLD
 from repro.workloads.generator import WorkloadSpec, uniform_transactions
 from repro.workloads.testbed import build_cluster
 
@@ -80,17 +89,46 @@ BEFORE_QUEUE = {
 
 LEVELS = (ConsistencyLevel.VIEW, ConsistencyLevel.GLOBAL)
 
+#: ``promote_at`` per queue label: the default hybrid, or the heap pinned.
+PROMOTE_AT = {"calendar": PROMOTE_THRESHOLD, "heap": math.inf}
+
+
+@contextlib.contextmanager
+def rebound(*bindings):
+    """Temporarily rebind ``(module, name, value)`` triples."""
+    saved = [(module, name, getattr(module, name)) for module, name, _ in bindings]
+    for module, name, value in bindings:
+        setattr(module, name, value)
+    try:
+        yield
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
+
+
+def naive_policy(policy):
+    """``policy`` with its rules proved by the naive reference resolver."""
+    return replace(policy, rules=naive_view(policy.rules))
+
+
+def naive_evaluate_proof(policy, *args, **kwargs):
+    return evaluate_proof(naive_policy(policy), *args, **kwargs)
+
+
+def naive_resolver():
+    """Route every proof the simulator evaluates to the naive resolver."""
+    return rebound(
+        (server_mod, "evaluate_proof", naive_evaluate_proof),
+        (proofcache_mod, "evaluate_proof", naive_evaluate_proof),
+    )
+
 
 # -- proof workload -----------------------------------------------------------
 
 
 def record_continuous_calls(quick: bool) -> List[Tuple]:
     """The proof-evaluation calls one seeded Continuous run makes, uncached."""
-    import repro.cloud.server as server_mod
-    from repro.cloud.config import CloudConfig
-
     calls: List[Tuple] = []
-    original = proofs_mod.evaluate_proof
 
     def recording(policy, query_id, user, operation, items, credentials,
                   server, now, registry, revocation=None, counters=None,
@@ -98,15 +136,14 @@ def record_continuous_calls(quick: bool) -> List[Tuple]:
         calls.append(
             (policy, user, operation, tuple(items), tuple(credentials), registry)
         )
-        return original(policy, query_id, user, operation, items, credentials,
-                        server, now, registry, revocation, counters)
+        return evaluate_proof(policy, query_id, user, operation, items,
+                              credentials, server, now, registry, revocation,
+                              counters)
 
-    config = CloudConfig()
-    config.enable_proof_cache = False
-    server_mod.evaluate_proof = recording
-    try:
+    with rebound((server_mod, "evaluate_proof", recording)):
         cluster = build_cluster(
-            n_servers=4, items_per_server=6, seed=61, config=config
+            n_servers=4, items_per_server=6, seed=61,
+            config=CloudConfig(enable_proof_cache=False),
         )
         credential = cluster.issue_role_credential("alice")
         spec = WorkloadSpec(
@@ -120,8 +157,6 @@ def record_continuous_calls(quick: bool) -> List[Tuple]:
         )
         for txn in transactions:
             cluster.run_transaction(txn, "continuous")
-    finally:
-        server_mod.evaluate_proof = original
     return calls
 
 
@@ -130,9 +165,7 @@ def replay(calls: List[Tuple], naive: bool):
     results = []
     for index, (policy, user, operation, items, credentials, registry) in enumerate(calls):
         if naive:
-            from dataclasses import replace
-
-            policy = replace(policy, rules=naive_view(policy.rules))
+            policy = naive_policy(policy)
         results.append(
             evaluate_proof(policy, f"q{index}", user, operation, items,
                            credentials, "bench", 100.0, registry)
@@ -156,12 +189,7 @@ def measure_proof_throughput(quick: bool, repeats: int) -> Dict[str, object]:
 
     # Pre-build the naive policy views so the timed loop measures the naive
     # *search*, not repeated index construction.
-    from dataclasses import replace
-
-    naive_calls = [
-        (replace(call[0], rules=naive_view(call[0].rules)),) + call[1:]
-        for call in calls
-    ]
+    naive_calls = [(naive_policy(call[0]),) + call[1:] for call in calls]
 
     def timed(workload: List[Tuple]) -> float:
         best = float("inf")
@@ -247,7 +275,7 @@ def measure_kernel(quick: bool, repeats: int) -> Dict[str, object]:
 def _queue_env(queue: str) -> Environment:
     # Pooling stays on for both sides so the comparison isolates the queue
     # structure itself, not the allocator.
-    return Environment(queue=queue, pooling=True)
+    return Environment(pooling=True, promote_at=PROMOTE_AT[queue])
 
 
 def kernel_drain(n_timeouts: int, queue: str) -> float:
@@ -372,20 +400,18 @@ def measure_outcome_equivalence(quick: bool) -> Dict[str, object]:
     checks: Dict[str, bool] = {}
     for approach in APPROACHES:
         for level in LEVELS:
-            def point(engine):
-                return SweepPoint(
-                    approach=approach,
-                    consistency=level,
-                    n_servers=4,
-                    txn_length=4,
-                    n_transactions=n_txns,
-                    update_interval=None,
-                    seed=61,
-                    config_overrides={"inference_engine": engine},
-                )
-
-            indexed = run_point(point("indexed")).outcomes
-            naive = run_point(point("naive")).outcomes
+            point = SweepPoint(
+                approach=approach,
+                consistency=level,
+                n_servers=4,
+                txn_length=4,
+                n_transactions=n_txns,
+                update_interval=None,
+                seed=61,
+            )
+            indexed = run_point(point).outcomes
+            with naive_resolver():
+                naive = run_point(point).outcomes
             checks[f"{approach}/{level.value}"] = indexed == naive
     return {
         "cells": checks,
@@ -396,30 +422,36 @@ def measure_outcome_equivalence(quick: bool) -> Dict[str, object]:
 def measure_queue_equivalence(quick: bool) -> Dict[str, object]:
     """Heap vs calendar outcome sequences, all approaches × both levels.
 
-    ``kernel_promote_at=0`` forces the calendar side onto its bucketed path
-    from the first event, so the check covers the promoted structure rather
-    than the small-queue heap fallback.
+    The testbed's ``Environment`` is rebound to build every cluster with a
+    fixed ``promote_at``: ``math.inf`` pins the heap, and ``0`` forces the
+    calendar side onto its bucketed path from the first event, so the check
+    covers the promoted structure rather than the small-queue heap
+    fallback.
     """
+
+    def promoted_at(promote_at):
+        def environment(**kwargs):
+            return Environment(**{**kwargs, "promote_at": promote_at})
+
+        return rebound((testbed_mod, "Environment", environment))
+
     n_txns = 4 if quick else 8
     checks: Dict[str, bool] = {}
     for approach in APPROACHES:
         for level in LEVELS:
-            def point(overrides):
-                return SweepPoint(
-                    approach=approach,
-                    consistency=level,
-                    n_servers=4,
-                    txn_length=4,
-                    n_transactions=n_txns,
-                    update_interval=None,
-                    seed=61,
-                    config_overrides=overrides,
-                )
-
-            heap = run_point(point({"kernel_queue": "heap"})).outcomes
-            calendar = run_point(
-                point({"kernel_queue": "calendar", "kernel_promote_at": 0})
-            ).outcomes
+            point = SweepPoint(
+                approach=approach,
+                consistency=level,
+                n_servers=4,
+                txn_length=4,
+                n_transactions=n_txns,
+                update_interval=None,
+                seed=61,
+            )
+            with promoted_at(math.inf):
+                heap = run_point(point).outcomes
+            with promoted_at(0):
+                calendar = run_point(point).outcomes
             checks[f"{approach}/{level.value}"] = heap == calendar
     return {
         "cells": checks,

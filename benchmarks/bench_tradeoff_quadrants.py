@@ -18,9 +18,9 @@ from _common import emit_table
 
 
 def collect():
-    # parallel=True fans the quadrant × seed × approach grid out over
-    # worker processes (48 seeded points); scores equal a serial run.
-    quadrants = empirical_quadrants(n_transactions=20, parallel=True)
+    # The quadrant × seed × approach grid (48 seeded points) fans out over
+    # worker processes; scores equal a serial run.
+    quadrants = empirical_quadrants(n_transactions=20)
     rows = []
     for quadrant in quadrants:
         scores = {name: score for name, score in quadrant.ranking()}

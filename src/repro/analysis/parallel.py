@@ -22,7 +22,7 @@ milliseconds that dwarf a small grid.  Two mitigations:
 
 * :func:`run_sweep` gates on a deterministic cost estimate
   (:func:`estimate_point_cost`) and runs grids below
-  :func:`min_parallel_cost` in-process — see ``docs/performance.md`` for
+  :data:`MIN_PARALLEL_COST` in-process — see ``docs/performance.md`` for
   the calibration;
 * grids that do fan out reuse one **persistent pool** (:func:`get_pool`)
   across calls, so a bench sweeping several grids pays worker start-up
@@ -31,11 +31,6 @@ milliseconds that dwarf a small grid.  Two mitigations:
   amortizing pickling/IPC while still load-balancing stragglers.  The
   pool is torn down at interpreter exit (or explicitly via
   :func:`shutdown_pool`).
-
-``REPRO_SWEEP_WORKERS`` (environment) overrides the default worker count;
-``REPRO_SWEEP_SERIAL=1`` forces serial execution everywhere, which CI can
-use on constrained runners; ``REPRO_SWEEP_MIN_COST`` overrides the
-serial-fallback threshold (``0`` disables the gate).
 """
 
 from __future__ import annotations
@@ -59,20 +54,13 @@ ResultT = TypeVar("ResultT")
 #: pickling/IPC stays negligible next to per-point submission.
 CHUNKS_PER_WORKER = 4
 
-#: Environment knob: cap/override the worker-process count.
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-#: Environment knob: force serial execution (``1``/``true``/``yes``).
-SERIAL_ENV = "REPRO_SWEEP_SERIAL"
-#: Environment knob: override the minimum grid cost that justifies workers.
-MIN_COST_ENV = "REPRO_SWEEP_MIN_COST"
-
-#: Default cost threshold below which :func:`run_sweep` stays serial.
+#: Grid cost below which :func:`run_sweep` stays serial.
 #: Calibrated against worker start-up: a fresh process pays ~0.3-0.5 s of
 #: interpreter + ``repro`` import before its first point, and the default
 #: proof-cache bench grid (cost ~7.7k units, ~0.8 s serial) measurably
 #: *loses* wall-clock when fanned out (0.897x).  25k units ≈ 2.5 s of
 #: serial work, past which two workers reliably amortize their spawn cost.
-DEFAULT_MIN_PARALLEL_COST = 25_000
+MIN_PARALLEL_COST = 25_000
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -102,17 +90,13 @@ def with_derived_seeds(
     ]
 
 
-def _serial_forced() -> bool:
-    return os.environ.get(SERIAL_ENV, "").strip().lower() in ("1", "true", "yes")
-
-
 def estimate_point_cost(point: SweepPoint) -> int:
     """Deterministic work estimate for one point, in abstract units.
 
     Simulation wall-clock scales with scheduled events, which scale with
     transactions × queries-per-transaction × cluster size — the knobs a
     :class:`SweepPoint` carries.  The estimate only has to rank grids
-    against :func:`min_parallel_cost`; it is not a time prediction.
+    against :data:`MIN_PARALLEL_COST`; it is not a time prediction.
     """
     return (
         max(1, point.n_transactions)
@@ -121,44 +105,27 @@ def estimate_point_cost(point: SweepPoint) -> int:
     )
 
 
-def min_parallel_cost() -> int:
-    """Cost threshold for the serial gate (``REPRO_SWEEP_MIN_COST`` wins)."""
-    override = os.environ.get(MIN_COST_ENV, "").strip()
-    if override:
-        try:
-            return max(0, int(override))
-        except ValueError:
-            pass
-    return DEFAULT_MIN_PARALLEL_COST
-
-
 def should_parallelize(
     points: Sequence[SweepPoint], max_workers: Optional[int] = None
 ) -> bool:
     """Would :func:`run_sweep` actually use worker processes for this grid?
 
-    False when serial is forced, fewer than two points or workers are
-    available, or the grid's total :func:`estimate_point_cost` falls below
-    :func:`min_parallel_cost` — small grids finish faster in-process than
+    False when fewer than two points or workers are available, or the
+    grid's total :func:`estimate_point_cost` falls below
+    :data:`MIN_PARALLEL_COST` — small grids finish faster in-process than
     any worker finishes importing.  Exposed so benches can report which
     execution plan a measurement exercised.
     """
-    if _serial_forced() or len(points) <= 1:
+    if len(points) <= 1:
         return False
     workers = max_workers if max_workers is not None else default_workers(len(points))
     if workers <= 1:
         return False
-    return sum(estimate_point_cost(point) for point in points) >= min_parallel_cost()
+    return sum(estimate_point_cost(point) for point in points) >= MIN_PARALLEL_COST
 
 
 def default_workers(n_items: int) -> int:
-    """Worker count: ``REPRO_SWEEP_WORKERS`` or ``min(n_items, cpus)``."""
-    override = os.environ.get(WORKERS_ENV, "").strip()
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
+    """Worker count: ``min(n_items, cpus)``."""
     return max(1, min(n_items, os.cpu_count() or 1))
 
 
@@ -231,7 +198,6 @@ def parallel_map(
     fn: Callable[[ItemT], ResultT],
     items: Sequence[ItemT],
     max_workers: Optional[int] = None,
-    fallback_serial: bool = True,
 ) -> List[ResultT]:
     """Apply ``fn`` to every item across worker processes, results in order.
 
@@ -242,14 +208,13 @@ def parallel_map(
     *raised by* ``fn`` propagate exactly as they would serially.  Failures
     *of the machinery* — a worker process dying, the pool failing to
     start, pickling errors — discard the pool and trigger a serial
-    in-process re-run of the whole sequence when ``fallback_serial`` is
-    true (the default), so callers always get a complete, ordered result
-    list.
+    in-process re-run of the whole sequence, so callers always get a
+    complete, ordered result list.
     """
     if not items:
         return []
     workers = max_workers if max_workers is not None else default_workers(len(items))
-    if workers <= 1 or len(items) == 1 or _serial_forced():
+    if workers <= 1 or len(items) == 1:
         return [fn(item) for item in items]
     chunks = _chunked(items, workers * CHUNKS_PER_WORKER)
     try:
@@ -260,8 +225,6 @@ def parallel_map(
         # Pre-pickled bytes always survive the queue.
         payloads = [pickle.dumps((fn, chunk)) for chunk in chunks]
     except Exception:
-        if not fallback_serial:
-            raise
         return [fn(item) for item in items]
     try:
         pool = get_pool(workers)
@@ -276,29 +239,21 @@ def parallel_map(
         # from script-style modules under the spawn start method).  The pool
         # may be poisoned — drop it so the next call starts clean.
         shutdown_pool(wait=False)
-        if not fallback_serial:
-            raise
         # The work itself is assumed sound, so redo everything in-process.
         return [fn(item) for item in items]
 
 
 def run_sweep(
-    points: Sequence[SweepPoint],
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-    fallback_serial: bool = True,
+    points: Sequence[SweepPoint], max_workers: Optional[int] = None
 ) -> List[SweepResult]:
-    """Run a sweep grid, in parallel by default; results in grid order.
+    """Run a sweep grid over the worker pool; results in grid order.
 
     Equivalent to ``[run_point(p) for p in points]`` — literally so when
-    ``parallel`` is false or the grid is too small to amortize worker
-    start-up (see :func:`should_parallelize`), and observably so
-    otherwise, because every point's simulation is fully determined by its
-    own seed.  Worker crashes degrade to the serial path (see
-    :func:`parallel_map`).
+    the grid is too small to amortize worker start-up (see
+    :func:`should_parallelize`), and observably so otherwise, because
+    every point's simulation is fully determined by its own seed.  Worker
+    crashes degrade to the serial path (see :func:`parallel_map`).
     """
-    if not parallel or not should_parallelize(points, max_workers):
+    if not should_parallelize(points, max_workers):
         return [run_point(point) for point in points]
-    return parallel_map(
-        run_point, points, max_workers=max_workers, fallback_serial=fallback_serial
-    )
+    return parallel_map(run_point, points, max_workers=max_workers)

@@ -18,7 +18,7 @@ run_sweep` fan grids out over processes without changing any result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.cloud.config import CloudConfig
 from repro.core.approaches import get_approach
@@ -26,7 +26,7 @@ from repro.core.consistency import ConsistencyLevel
 from repro.metrics.stats import OutcomeAggregate, TransactionOutcome, aggregate
 from repro.sim.events import Event
 from repro.workloads.generator import WorkloadSpec, uniform_transactions
-from repro.workloads.testbed import Cluster, build_cluster
+from repro.workloads.testbed import build_cluster
 from repro.workloads.updates import PolicyUpdateProcess
 
 
@@ -190,19 +190,15 @@ def sweep(points: Sequence[SweepPoint]) -> List[SweepResult]:
 def compare_approaches(
     base: SweepPoint,
     approaches: Sequence[str] = ("deferred", "punctual", "incremental", "continuous"),
-    parallel: bool = False,
 ) -> Dict[str, SweepResult]:
     """Run the same condition under each approach (same seed and workload).
 
-    With ``parallel=True`` the per-approach points fan out over worker
-    processes via :func:`repro.analysis.parallel.run_sweep`; results are
-    identical either way (each point is deterministic in its seed).
+    The per-approach points go through
+    :func:`repro.analysis.parallel.run_sweep`, whose cost gate keeps small
+    grids in-process; results are identical either way (each point is
+    deterministic in its seed).
     """
-    points = [SweepPoint(**{**base.__dict__, "approach": name}) for name in approaches]
-    if parallel:
-        from repro.analysis.parallel import run_sweep
+    from repro.analysis.parallel import run_sweep
 
-        results = run_sweep(points)
-    else:
-        results = [run_point(point) for point in points]
-    return dict(zip(approaches, results))
+    points = [SweepPoint(**{**base.__dict__, "approach": name}) for name in approaches]
+    return dict(zip(approaches, run_sweep(points)))

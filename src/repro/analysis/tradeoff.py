@@ -19,7 +19,7 @@ recommendation actually wins (or report where it does not).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.sweep import SweepPoint, SweepResult
 from repro.core.consistency import ConsistencyLevel
@@ -104,7 +104,6 @@ def empirical_quadrants(
     n_transactions: int = 25,
     seeds: Sequence[int] = (19, 7, 101),
     consistency: ConsistencyLevel = ConsistencyLevel.VIEW,
-    parallel: bool = True,
 ) -> List[QuadrantResult]:
     """Measure all four quadrants of the Section VI-B trade-off space.
 
@@ -126,10 +125,10 @@ def empirical_quadrants(
     time units) so version-divergence windows are short relative to the
     update interval.
 
-    With ``parallel=True`` (the default) the full quadrant × seed ×
-    approach grid fans out over worker processes through
-    :func:`repro.analysis.parallel.run_sweep`; every point is seeded
-    explicitly, so the measured results are identical to a serial run.
+    The full quadrant × seed × approach grid fans out over worker
+    processes through :func:`repro.analysis.parallel.run_sweep`; every
+    point is seeded explicitly, so the measured results are identical to a
+    serial run.
     """
     quadrants = [
         ("short-txn / infrequent-updates", short_length, infrequent_interval, False),
@@ -162,7 +161,7 @@ def empirical_quadrants(
 
     from repro.analysis.parallel import run_sweep
 
-    results = run_sweep(grid, parallel=parallel)
+    results = run_sweep(grid)
 
     out: List[QuadrantResult] = []
     for name, length, interval, frequent in quadrants:

@@ -122,22 +122,6 @@ class CloudConfig:
     #: per-user-credential cache would otherwise grow linearly with the
     #: user population, and cache hits never change outcomes.
     proof_cache_capacity: Optional[int] = None
-    #: How the proof cache reacts to a policy version install:
-    #: ``"precise"`` (default) keeps — relabelled to the new version — every
-    #: entry whose dependency closure the install's rule diff provably
-    #: cannot affect (:mod:`repro.policy.analyze` impact analysis);
-    #: ``"coarse"`` drops the whole administrative domain, the historical
-    #: behavior.  Verdict-identical either way (asserted by the
-    #: equivalence harness); precise mode only saves host-side
-    #: re-derivations under policy churn.  See docs/policy-analysis.md.
-    proof_cache_invalidation: str = "precise"
-    #: Which SLD resolver backs proof evaluation: ``"indexed"`` (the
-    #: default first-argument-indexed, tabled engine in
-    #: ``repro.policy.rules``) or ``"naive"`` (the reference resolver in
-    #: ``repro.policy.rules_reference``).  Verdicts and witnesses are
-    #: identical either way — asserted by the equivalence harness — so this
-    #: knob only trades host CPU, never simulation behaviour.
-    inference_engine: str = "indexed"
     #: Run the trace sanitizer (:mod:`repro.verify.conformance`) over the
     #: recorded trace at the end of every workload run.  Requires the
     #: cluster to be built with tracing enabled; violations raise
@@ -154,20 +138,6 @@ class CloudConfig:
     #: deterministic per transaction id (crc32 hash), so the same
     #: transactions are sampled on every run; 1.0 records everything.
     obs_sample_rate: float = 1.0
-    #: Kernel event-queue implementation: ``"calendar"`` (hybrid heap →
-    #: bucketed calendar queue, the fast default) or ``"heap"`` (the plain
-    #: heapq reference).  Both realize the same (time, priority, sequence)
-    #: total order, so outcomes are bit-identical — property-tested in
-    #: tests/property/test_calendar_queue.py.  See docs/performance.md.
-    kernel_queue: str = "calendar"
-    #: Recycle processed Timeout objects through a kernel free list.
-    #: Safe for the in-tree protocol stack (nothing retains a timeout past
-    #: its firing); disable when embedding code that does.
-    kernel_pooling: bool = True
-    #: Queue size at which the hybrid queue promotes from heap to calendar
-    #: (``None`` = the kernel default).  Equivalence tests set this to a
-    #: tiny value to force the calendar to engage on small workloads.
-    kernel_promote_at: Optional[int] = None
     #: Streaming (constant-memory) metrics: aggregate transaction outcomes
     #: online instead of retaining per-transaction records.  Report and
     #: export columns are unchanged; only memory behaviour differs.  Large

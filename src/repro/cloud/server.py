@@ -13,7 +13,7 @@ time, OCSP round trips, and forced log writes all consume simulated time.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.cloud import messages as msg
@@ -47,7 +47,6 @@ from repro.policy.proofs import (
     evaluate_proof,
 )
 from repro.policy.rules import Atom
-from repro.policy.rules_reference import naive_view
 from repro.policy.store import PolicyStore
 from repro.sim.events import Event
 from repro.sim.network import Message, Node
@@ -142,17 +141,11 @@ class CloudServer(Node):
                 stats=metrics.proof_cache,
                 server=name,
                 capacity=capacity,
-                invalidation=config.proof_cache_invalidation,
             )
             self.policies.subscribe(self.proof_cache.invalidate_policy)
             registry.subscribe_revocations(
                 lambda record: self.proof_cache.invalidate_credential(record.cred_id)
             )
-        #: Memo of naive-resolver views per policy version, used when
-        #: ``config.inference_engine == "naive"`` so the reference rule set
-        #: (and its construction cost) is built once per version, not per
-        #: proof.
-        self._naive_policies: Dict[Tuple[PolicyId, int], Policy] = {}
 
     # Nodes get their env at registration time; the lock manager needs it.
     def _lock_manager(self) -> LockManager:
@@ -496,8 +489,6 @@ class CloudServer(Node):
         yield from self._consume_cpu(self.config.proof_evaluation_time)
         if policy is None:
             policy = self.policies.current(executed.admin)
-        if self.config.inference_engine == "naive":
-            policy = self._naive_policy(policy)
         evaluator = (
             self.proof_cache.evaluate if self.proof_cache is not None else evaluate_proof
         )
@@ -553,20 +544,6 @@ class CloudServer(Node):
         self.obs.finish(span, self.env.now, granted=proof.granted, version=proof.policy_version)
         return proof
 
-    def _naive_policy(self, policy: Policy) -> Policy:
-        """``policy`` with its rules proved by the naive reference resolver.
-
-        Same rules, same verdicts, same witnesses — only the search
-        strategy differs (see ``repro.policy.rules_reference``).  Memoized
-        per (domain, version) so sweeps pay the view construction once.
-        """
-        key = (policy.policy_id, policy.version)
-        view = self._naive_policies.get(key)
-        if view is None:
-            view = replace(policy, rules=naive_view(policy.rules))
-            self._naive_policies[key] = view
-        return view
-
     def _validation_report(
         self, txn_id: str, parent: ParentRef = None
     ) -> Generator[Event, Any, Dict[str, Any]]:
@@ -587,19 +564,18 @@ class CloudServer(Node):
             return {"truth": False, "versions": {}, "policies": {}, "proofs": []}
         proofs: List[ProofOfAuthorization] = []
         snapshot: Dict[PolicyId, Policy] = {}
-        if state is not None:
-            for executed in state.queries:
-                if executed.admin not in snapshot:
-                    snapshot[executed.admin] = self.policies.current(executed.admin)
-            for executed in state.queries:
-                proof = yield from self._evaluate(
-                    txn_id,
-                    executed,
-                    phase="commit",
-                    policy=snapshot[executed.admin],
-                    parent=parent,
-                )
-                proofs.append(proof)
+        for executed in state.queries:
+            if executed.admin not in snapshot:
+                snapshot[executed.admin] = self.policies.current(executed.admin)
+        for executed in state.queries:
+            proof = yield from self._evaluate(
+                txn_id,
+                executed,
+                phase="commit",
+                policy=snapshot[executed.admin],
+                parent=parent,
+            )
+            proofs.append(proof)
         truth = all(proof.granted for proof in proofs)
         versions: Dict[PolicyId, int] = {
             admin: policy.version for admin, policy in snapshot.items()

@@ -14,8 +14,8 @@ recorded, a waterfall render of each implicated transaction.
 
 Rings hold plain tuples copied out of the simulation objects — never the
 pooled kernel/event objects themselves — so eviction order and content are
-bit-identical whether ``CloudConfig.kernel_pooling`` is on or off (tested
-in ``tests/obs/test_flight.py``).
+bit-identical whether the kernel pools timeouts or not (tested in
+``tests/obs/test_flight.py``).
 
 Enable with ``CloudConfig.flight_recorder``; the conformance entry point
 :func:`repro.verify.verify_cluster` triggers a dump automatically whenever

@@ -27,11 +27,11 @@ mutations that *can* change verdicts without any key changing:
 * **policy installs** — :meth:`repro.policy.store.PolicyStore.subscribe`
   calls :meth:`ProofCache.invalidate_policy` whenever a newer version is
   installed.  Old-version entries could no longer hit — their key pins the
-  version — so coarse mode simply drops the domain.  Precise mode (the
-  default) instead diffs the outgoing and incoming rule sets
+  version — so the hook diffs the outgoing and incoming rule sets
   (:func:`repro.policy.analyze.changed_predicates`) and *relabels* to
   the new version every entry whose recorded dependency closure the diff
-  provably cannot affect, dropping only the rest;
+  provably cannot affect, dropping only the rest (an install it cannot
+  diff drops the whole domain);
 * **credential revocations** — :meth:`repro.policy.credentials.CARegistry.
   subscribe_revocations` calls :meth:`ProofCache.invalidate_credential`,
   dropping every entry whose credential set contains the revoked id.
@@ -113,13 +113,12 @@ class ProofCache:
     the entry count with LRU eviction (``None`` = unbounded; simulations
     are finite, but long-running sweeps may want a ceiling).
 
-    ``invalidation`` selects how :meth:`invalidate_policy` reacts to a
-    version install: ``"coarse"`` (drop the whole administrative domain,
-    the historical behavior) or ``"precise"`` (keep — and relabel to the
-    new version — every entry whose dependency closure is disjoint from
-    the install's changed predicates; see ``docs/policy-analysis.md`` for
-    the soundness argument).  Both modes are verdict-identical; precise
-    mode only saves host-side re-derivations.
+    A version install keeps — relabelled to the new version — every entry
+    whose dependency closure is disjoint from the install's changed
+    predicates (see :meth:`invalidate_policy` and
+    ``docs/policy-analysis.md`` for the soundness argument); the reference
+    it is equivalence-tested against is no cache at all
+    (``CloudConfig.enable_proof_cache=False``).
     """
 
     def __init__(
@@ -127,16 +126,10 @@ class ProofCache:
         stats: Optional[object] = None,
         server: str = "",
         capacity: Optional[int] = None,
-        invalidation: str = "precise",
     ) -> None:
-        if invalidation not in ("precise", "coarse"):
-            raise ValueError(
-                f"invalidation must be 'precise' or 'coarse', got {invalidation!r}"
-            )
         self.stats = stats
         self.server = server
         self.capacity = capacity
-        self.invalidation = invalidation
         #: Every entry, least recently used first.
         self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
         #: Each domain's entries in the same relative order as ``_entries``.
@@ -227,10 +220,10 @@ class ProofCache:
 
         Wired to :meth:`PolicyStore.subscribe`, which passes the version
         ``previous``\\ ly held by the same store (``None`` on first
-        install).  Coarse mode — and any install whose provenance we can't
-        establish — drops the whole administrative domain.  Precise mode
-        diffs the two versions (:func:`~repro.policy.analyze.
-        changed_predicates`) and *keeps* every entry of the outgoing
+        install).  An install whose provenance we can't establish drops
+        the whole administrative domain.  Otherwise the hook diffs the two
+        versions (:func:`~repro.policy.analyze.changed_predicates`) and
+        *keeps* every entry of the outgoing
         version whose captured dependency closure is disjoint from the
         changed predicates, relabelling it to the new version number: such
         an entry's reachable rule fragment is rule-for-rule identical
@@ -244,8 +237,7 @@ class ProofCache:
         if domain is None:
             return 0
         if (
-            self.invalidation != "precise"
-            or previous is None
+            previous is None
             or previous.policy_id != policy.policy_id
             or previous.version >= policy.version
         ):

@@ -21,21 +21,20 @@ behaviourally identical to it.  Queue entries stay plain tuples on purpose:
 tuple comparison happens in C, which beats any ``__slots__`` class with a
 Python-level ``__lt__``.
 
-Two queue structures back the loop (``queue=`` constructor argument):
-
-* ``"heap"`` — the plain ``heapq`` list, kept as the always-available
-  reference implementation;
-* ``"calendar"`` (default) — a *hybrid*: the heap serves while the queue
-  is small (it has the better constant there), and the first push that
-  grows it past :data:`~repro.sim.queues.PROMOTE_THRESHOLD` migrates all
-  entries into a :class:`~repro.sim.queues.CalendarQueue`, whose bucketed
-  layout keeps per-event cost flat at the 10⁴–10⁶ pending events large
-  multi-region runs hold.  Both structures realize the same
-  ``(time, priority, sequence)`` total order, so the migration — and the
-  choice of structure — is invisible to simulation outcomes (property-
-  tested in ``tests/property/test_calendar_queue.py``).  A promotion is
-  one-way; once the queue is a calendar the run loops enter dedicated
-  inner loops that skip the per-event structure check.
+The event queue is a *hybrid*: a plain ``heapq`` list serves while the
+queue is small (it has the better constant there), and the first push that
+grows it past ``promote_at`` (default
+:data:`~repro.sim.queues.PROMOTE_THRESHOLD`) migrates all entries into a
+:class:`~repro.sim.queues.CalendarQueue`, whose bucketed layout keeps
+per-event cost flat at the 10⁴–10⁶ pending events large multi-region runs
+hold.  Both structures realize the same ``(time, priority, sequence)``
+total order, so the migration is invisible to simulation outcomes.
+``promote_at=math.inf`` pins the plain heap — the reference the calendar
+is equivalence-tested against (``tests/property/test_calendar_queue.py``,
+``tests/integration/test_queue_equivalence.py``) and benchmarked against
+(``benchmarks/bench_engine.py``).  A promotion is one-way; once the queue
+is a calendar the run loops enter dedicated inner loops that skip the
+per-event structure check.
 
 Timeout pooling (``pooling=True``) recycles processed :class:`Timeout`
 objects through a free list: :meth:`timeout` / :meth:`defer` re-arm the
@@ -82,20 +81,17 @@ class Environment:
     def __init__(
         self,
         initial_time: float = 0.0,
-        queue: str = "calendar",
         pooling: bool = False,
         bucket_width: float = DEFAULT_BUCKET_WIDTH,
-        promote_at: int = PROMOTE_THRESHOLD,
+        promote_at: float = PROMOTE_THRESHOLD,
     ) -> None:
-        if queue not in ("calendar", "heap"):
-            raise SimulationError(f"unknown queue implementation {queue!r}")
         self._now = float(initial_time)
         #: list while in heap mode; CalendarQueue after promotion.
         self._queue: Union[List[_QueueEntry], CalendarQueue] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: heap size that triggers migration; inf pins the heap reference.
-        self._promote_at: float = float(promote_at) if queue == "calendar" else float("inf")
+        self._promote_at = float(promote_at)
         self._bucket_width = bucket_width
         self._pooling = pooling
         self._pool: List[Timeout] = []

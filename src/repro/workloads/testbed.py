@@ -13,7 +13,7 @@ credentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cloud.config import CloudConfig
@@ -268,10 +268,7 @@ def assemble_cluster(
     if topology is not None:
         latency = RegionalLatency(topology, model_transfer_time=config.model_transfer_time)
     rng = RandomStreams(seed)
-    env_kwargs: Dict[str, Any] = {}
-    if config.kernel_promote_at is not None:
-        env_kwargs["promote_at"] = config.kernel_promote_at
-    env = Environment(queue=config.kernel_queue, pooling=config.kernel_pooling, **env_kwargs)
+    env = Environment(pooling=True)
     metrics = Metrics(streaming=config.streaming_metrics)
     if topology is not None:
         metrics.regions.configure(topology)

@@ -5,18 +5,14 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.analysis.parallel import (
-    SERIAL_ENV,
-    WORKERS_ENV,
-    default_workers,
     derive_seed,
     parallel_map,
     run_sweep,
+    should_parallelize,
     with_derived_seeds,
 )
-from repro.analysis.sweep import SweepPoint, sweep
+from repro.analysis.sweep import SweepPoint, run_point, sweep
 from repro.core.consistency import ConsistencyLevel
 
 
@@ -73,25 +69,11 @@ class TestParallelMap:
     def test_single_worker_runs_serial(self):
         assert parallel_map(square, [1, 2, 3], max_workers=1) == [1, 4, 9]
 
-    def test_serial_env_forces_serial(self, monkeypatch):
-        monkeypatch.setenv(SERIAL_ENV, "1")
-        assert parallel_map(square, [2, 3], max_workers=4) == [4, 9]
-
-    def test_workers_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        assert default_workers(8) == 1
-
     def test_worker_death_falls_back_to_serial(self):
         # The pool dies (every worker exits), then the serial fallback
         # computes the real answers in the parent process.
         result = parallel_map(die_in_worker, [1, 2, 3], max_workers=2)
         assert result == [101, 102, 103]
-
-    def test_worker_death_without_fallback_raises(self):
-        with pytest.raises(Exception):
-            parallel_map(
-                die_in_worker, [1, 2, 3], max_workers=2, fallback_serial=False
-            )
 
     def test_unpicklable_fn_falls_back_to_serial(self):
         def local_fn(x):  # closures can't be sent to workers
@@ -130,23 +112,22 @@ class TestParallelMap:
 
 
 class TestRunSweep:
+    # small_grid() is far below the cost gate, so run_sweep keeps it
+    # in-process; parallel_map is called directly to reach the pool.
+
     def test_parallel_equals_serial(self):
         points = small_grid()
+        assert not should_parallelize(points, 2)
         serial = sweep(points)
-        parallel = run_sweep(points, max_workers=2)
-        assert len(serial) == len(parallel)
-        for s, p in zip(serial, parallel):
+        pooled = parallel_map(run_point, points, max_workers=2)
+        assert run_sweep(points, max_workers=2) == serial
+        assert len(serial) == len(pooled)
+        for s, p in zip(serial, pooled):
             assert s.point == p.point
             assert s.outcomes == p.outcomes
 
-    def test_serial_flag_matches_parallel(self):
-        points = small_grid()[:2]
-        assert [r.outcomes for r in run_sweep(points, parallel=False)] == [
-            r.outcomes for r in run_sweep(points, max_workers=2)
-        ]
-
     def test_repeated_runs_are_deterministic(self):
         points = small_grid()[:2]
-        first = run_sweep(points, max_workers=2)
-        second = run_sweep(points, max_workers=2)
+        first = parallel_map(run_point, points, max_workers=2)
+        second = parallel_map(run_point, points, max_workers=2)
         assert [r.outcomes for r in first] == [r.outcomes for r in second]

@@ -5,11 +5,9 @@ from __future__ import annotations
 import random
 
 from repro.analysis.parallel import (
-    DEFAULT_MIN_PARALLEL_COST,
-    MIN_COST_ENV,
-    SERIAL_ENV,
+    MIN_PARALLEL_COST,
     estimate_point_cost,
-    min_parallel_cost,
+    parallel_map,
     run_sweep,
     should_parallelize,
 )
@@ -18,7 +16,7 @@ from repro.analysis.scale import (
     StaleCommitTracker,
     split_by_master_locality,
 )
-from repro.analysis.sweep import SweepPoint
+from repro.analysis.sweep import SweepPoint, run_point, sweep
 from repro.cloud.config import CloudConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.workloads.runner import OpenLoopRunner
@@ -46,50 +44,34 @@ class TestCostGate:
         assert estimate_point_cost(make_point(10, 3, 4)) == 120
         assert estimate_point_cost(make_point(0, 0, 0)) == 1  # floor at 1
 
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
-        assert min_parallel_cost() == DEFAULT_MIN_PARALLEL_COST
+    def test_default_threshold(self):
+        # Two points of 12 500 units each sit exactly on the gate.
+        at_gate = [make_point(125, 10, 10) for _ in range(2)]
+        assert sum(map(estimate_point_cost, at_gate)) == MIN_PARALLEL_COST == 25_000
+        assert should_parallelize(at_gate, max_workers=2)
+        below = [make_point(125, 10, 10), make_point(124, 10, 10)]
+        assert not should_parallelize(below, max_workers=2)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "100")
-        assert min_parallel_cost() == 100
-        monkeypatch.setenv(MIN_COST_ENV, "garbage")
-        assert min_parallel_cost() == DEFAULT_MIN_PARALLEL_COST
-
-    def test_small_grid_stays_serial(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
-        monkeypatch.delenv(SERIAL_ENV, raising=False)
+    def test_small_grid_stays_serial(self):
         points = [make_point() for _ in range(4)]  # cost 480 << 25k
         assert not should_parallelize(points, max_workers=4)
 
-    def test_large_grid_parallelizes(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
-        monkeypatch.delenv(SERIAL_ENV, raising=False)
+    def test_large_grid_parallelizes(self):
         points = [make_point(1000, 10, 10) for _ in range(2)]  # cost 200k
         assert should_parallelize(points, max_workers=2)
 
-    def test_gate_disabled_by_zero_threshold(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "0")
-        monkeypatch.delenv(SERIAL_ENV, raising=False)
-        assert should_parallelize([make_point(), make_point()], max_workers=2)
+    def test_single_point_or_worker_never_parallelizes(self):
+        large = make_point(1000, 10, 10)
+        assert not should_parallelize([large], max_workers=8)
+        assert not should_parallelize([large, large], max_workers=1)
 
-    def test_single_point_or_worker_never_parallelizes(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "0")
-        assert not should_parallelize([make_point()], max_workers=8)
-        assert not should_parallelize([make_point(), make_point()], max_workers=1)
-
-    def test_serial_env_wins(self, monkeypatch):
-        monkeypatch.setenv(MIN_COST_ENV, "0")
-        monkeypatch.setenv(SERIAL_ENV, "1")
-        assert not should_parallelize([make_point(), make_point()], max_workers=4)
-
-    def test_gated_run_sweep_matches_serial(self, monkeypatch):
-        monkeypatch.delenv(MIN_COST_ENV, raising=False)
-        monkeypatch.delenv(SERIAL_ENV, raising=False)
+    def test_gated_run_sweep_matches_serial(self):
         points = [make_point(4, 2, 3), make_point(5, 2, 3)]
-        gated = run_sweep(points, max_workers=4)
-        serial = run_sweep(points, parallel=False)
-        assert [r.outcomes for r in gated] == [r.outcomes for r in serial]
+        assert not should_parallelize(points, max_workers=4)
+        serial = sweep(points)
+        assert run_sweep(points, max_workers=4) == serial
+        pooled = parallel_map(run_point, points, max_workers=2)
+        assert [r.outcomes for r in pooled] == [r.outcomes for r in serial]
 
 
 def run_scale(approach="deferred", consistency=ConsistencyLevel.VIEW, n_users=20):

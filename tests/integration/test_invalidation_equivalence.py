@@ -1,11 +1,14 @@
 """Predicate-precise invalidation's safety contract, end to end.
 
-Precise mode may only change which cache entries survive a policy install —
-never a verdict, a vote, a commit decision, a latency, or a Table I
-counter.  Under a fixed seed, runs with precise and coarse invalidation
-must therefore produce identical ``TransactionOutcome`` sequences for every
-approach and both consistency levels, across benign and restricting policy
-storms (the two update shapes the workloads publish).
+Precise invalidation may only change which cache entries survive a policy
+install — never a verdict, a vote, a commit decision, a latency, or a
+Table I counter.  Under a fixed seed, a precise-cached run must therefore
+produce the same ``TransactionOutcome`` sequence as an uncached run (the
+cache's reference) and as a run whose every install drops the whole domain
+(the coarse drop, reached through :func:`tests.oracles.
+use_coarse_invalidation`), for every approach and both consistency levels,
+across benign and restricting policy storms (the two update shapes the
+workloads publish).
 """
 
 import pytest
@@ -13,11 +16,13 @@ import pytest
 from repro.analysis.sweep import SweepPoint, run_point
 from repro.core.consistency import ConsistencyLevel
 
+from tests.oracles import use_coarse_invalidation
+
 APPROACHES = ("deferred", "punctual", "incremental", "continuous")
 LEVELS = (ConsistencyLevel.VIEW, ConsistencyLevel.GLOBAL)
 
 
-def outcomes(approach, level, *, invalidation, update_mode="benign", seed=31):
+def outcomes(approach, level, *, enable_cache=True, update_mode="benign", seed=31):
     point = SweepPoint(
         approach=approach,
         consistency=level,
@@ -27,38 +32,43 @@ def outcomes(approach, level, *, invalidation, update_mode="benign", seed=31):
         update_interval=12.0,
         update_mode=update_mode,
         seed=seed,
-        config_overrides={"proof_cache_invalidation": invalidation},
+        config_overrides={"enable_proof_cache": enable_cache},
     )
     return run_point(point).outcomes
 
 
+def precise_coarse_uncached(monkeypatch, approach, level, **kwargs):
+    precise = outcomes(approach, level, **kwargs)
+    uncached = outcomes(approach, level, enable_cache=False, **kwargs)
+    with monkeypatch.context() as patch:
+        use_coarse_invalidation(patch)
+        coarse = outcomes(approach, level, **kwargs)
+    return precise, coarse, uncached
+
+
 @pytest.mark.parametrize("level", LEVELS, ids=lambda l: l.value)
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_precise_equals_coarse_on_grid(approach, level):
-    precise = outcomes(approach, level, invalidation="precise")
-    coarse = outcomes(approach, level, invalidation="coarse")
+def test_precise_equals_coarse_on_grid(monkeypatch, approach, level):
+    precise, coarse, uncached = precise_coarse_uncached(monkeypatch, approach, level)
+    assert precise == uncached
     assert precise == coarse
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_precise_equals_coarse_under_restricting_storm(approach):
+def test_precise_equals_coarse_under_restricting_storm(monkeypatch, approach):
     # "alternate" publishes guard-rewriting successors: the diff reaches
-    # may_read/may_write, so precise mode must actually drop entries here —
-    # and still change nothing observable.
-    precise = outcomes(
-        approach, ConsistencyLevel.VIEW, invalidation="precise",
-        update_mode="alternate",
+    # may_read/may_write, so precise invalidation must actually drop
+    # entries here — and still change nothing observable.
+    precise, coarse, uncached = precise_coarse_uncached(
+        monkeypatch, approach, ConsistencyLevel.VIEW, update_mode="alternate"
     )
-    coarse = outcomes(
-        approach, ConsistencyLevel.VIEW, invalidation="coarse",
-        update_mode="alternate",
-    )
+    assert precise == uncached
     assert precise == coarse
 
 
 def test_precise_retains_under_benign_storm():
-    # Benign successors only add a version-marker fact, so precise mode
-    # should retain entries across installs (the whole point of the mode);
+    # Benign successors only add a version-marker fact, so precise
+    # invalidation should retain entries across installs (its whole point);
     # retention must be visible in the counters.
     from repro.policy.policy import PolicyId
     from repro.workloads.generator import WorkloadSpec, uniform_transactions

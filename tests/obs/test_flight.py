@@ -6,9 +6,9 @@ layout; the integration tests run a real span-recorded cluster, seed a
 strict-2PL violation against a *finished* transaction, and check
 :func:`repro.verify.verify_cluster` dumps a complete, strictly valid
 bundle — including the waterfall of the implicated transaction.  The
-pooling test asserts the recorded window is bit-identical with
-``CloudConfig.kernel_pooling`` on and off (rings copy plain tuples, never
-pooled kernel objects).
+pooling test asserts the recorded window is bit-identical with kernel
+timeout pooling on and off (rings copy plain tuples, never pooled kernel
+objects).
 """
 
 import json
@@ -32,6 +32,8 @@ from repro.workloads.generator import (
 )
 from repro.workloads.runner import OpenLoopRunner
 from repro.workloads.testbed import build_cluster
+
+from tests.oracles import force_kernel
 
 SEED = 41
 
@@ -200,12 +202,11 @@ class TestVerifyHook:
 
 
 class TestPoolingDeterminism:
-    def test_ring_window_identical_with_and_without_pooling(self):
+    def test_ring_window_identical_with_and_without_pooling(self, monkeypatch):
         """Eviction order and content must not see the kernel's free lists."""
-        windows = []
-        for pooling in (True, False):
-            cluster = run_cluster(kernel_pooling=pooling, flight_capacity=32)
-            windows.append(cluster.metrics.flight.events())
+        windows = [run_cluster(flight_capacity=32).metrics.flight.events()]
+        force_kernel(monkeypatch, pooling=False)
+        windows.append(run_cluster(flight_capacity=32).metrics.flight.events())
         assert windows[0] == windows[1]
         assert windows[0], "expected a non-empty recorded window"
         # Capacity actually bit: some ring must have evicted.

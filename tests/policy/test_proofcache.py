@@ -193,14 +193,12 @@ class TestInvalidation:
         assert len(cache) == 0
         assert stats.invalidations == 1
 
-    def test_coarse_mode_drops_domain_on_any_install(self, ca, registry):
-        stats = ProofCacheCounters()
-        cache = ProofCache(stats=stats, server="s1", invalidation="coarse")
-        store = PolicyStore([member_policy(1)])
-        store.subscribe(cache.invalidate_policy)
+    def test_undiffable_install_drops_domain(self, ca, registry, cache, stats):
+        # Without the outgoing version the install cannot be diffed, so even
+        # an identical rule set must drop the domain (the safety path).
         cred = ca.issue("bob", Atom("role", ("bob", "member")), 0.0)
-        cached_eval(cache, store.current(PolicyId("app")), registry, [cred])
-        assert store.apply(member_policy(2))  # identical rules, still drops
+        cached_eval(cache, member_policy(1), registry, [cred])
+        assert cache.invalidate_policy(member_policy(2)) == 1
         assert len(cache) == 0
         assert stats.invalidations == 1 and stats.retentions == 0
 

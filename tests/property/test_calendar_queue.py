@@ -24,6 +24,7 @@ where a bucketed structure would betray instability first.
 """
 
 import heapq
+import math
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -144,8 +145,8 @@ class TestKernelEquivalence:
     """The same simulation on both queue backends is bit-identical."""
 
     @staticmethod
-    def _run(queue, promote_at=0):
-        env = Environment(queue=queue, promote_at=promote_at)
+    def _run(promote_at):
+        env = Environment(promote_at=promote_at)
         log = []
 
         def ping(env, name, period, jitter):
@@ -163,9 +164,9 @@ class TestKernelEquivalence:
     def test_heap_and_calendar_runs_identical(self):
         # promote_at=0 forces the calendar from the first event, so the
         # whole run exercises the bucketed structure, not the heap prefix.
-        assert self._run("heap") == self._run("calendar", promote_at=0)
+        assert self._run(math.inf) == self._run(0)
 
     def test_promotion_mid_run_is_transparent(self):
         # Promote after a handful of events: the run crosses the heap ->
         # calendar migration and must not notice.
-        assert self._run("heap") == self._run("calendar", promote_at=5)
+        assert self._run(math.inf) == self._run(5)
