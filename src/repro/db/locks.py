@@ -61,6 +61,8 @@ class _WaitEntry:
 
 @dataclass
 class _LockState:
+    #: Position of the key in the lock table's creation order.
+    order: int
     mode: Optional[LockMode] = None
     holders: Set[str] = field(default_factory=set)
     queue: List[_WaitEntry] = field(default_factory=list)
@@ -88,6 +90,9 @@ class LockManager:
         self._locks: Dict[str, _LockState] = {}
         #: Keys held per transaction, for O(1) release.
         self._held_by_txn: Dict[str, Set[str]] = {}
+        #: Keys each transaction has queued on (a superset of those where
+        #: it still waits), so deadlock search and release visit only them.
+        self._queued_by_txn: Dict[str, Set[str]] = {}
 
     def _trace(self, category: str, txn_id: str, key: str, mode: Optional[LockMode]) -> None:
         # The enabled check lives here, not in record(): grants/releases
@@ -134,7 +139,9 @@ class LockManager:
         recorded when (and only when) the request actually queues.
         """
         event = self.env.event()
-        state = self._locks.setdefault(key, _LockState())
+        state = self._locks.get(key)
+        if state is None:
+            state = self._locks[key] = _LockState(len(self._locks))
 
         if txn_id in state.holders:
             if state.mode is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
@@ -182,6 +189,10 @@ class LockManager:
     ) -> None:
         entry = _WaitEntry(txn_id, mode, event, queued_at=self.env.now)
         state.queue.append(entry)
+        queued = self._queued_by_txn.get(txn_id)
+        if queued is None:
+            queued = self._queued_by_txn[txn_id] = set()
+        queued.add(key)
         cycle = self._find_cycle(txn_id)
         if cycle is not None:
             state.queue.remove(entry)
@@ -209,7 +220,11 @@ class LockManager:
         coordinator-initiated abort (e.g. after a request timeout resolving
         a cross-server deadlock) reclaims a participant's queued requests.
         """
-        for key, state in self._locks.items():
+        # In the lock table's creation order, the order cancellations have
+        # always fired in.
+        locks = self._locks
+        for key in sorted(self._queued_by_txn.pop(txn_id, ()), key=lambda k: locks[k].order):
+            state = locks[key]
             for entry in state.queue:
                 if entry.txn_id == txn_id and not entry.event.triggered:
                     entry.event.fail(
@@ -258,6 +273,7 @@ class LockManager:
         locks_dropped = sum(len(keys) for keys in self._held_by_txn.values())
         self._locks.clear()
         self._held_by_txn.clear()
+        self._queued_by_txn.clear()
         return waits_cancelled, locks_dropped
 
     def _promote(self, key: str, state: _LockState) -> None:
@@ -291,24 +307,34 @@ class LockManager:
 
     # -- deadlock detection ------------------------------------------------------
 
-    def _wait_for_edges(self) -> Dict[str, Set[str]]:
-        """Edges waiter → holder (and waiter → earlier incompatible waiter)."""
-        edges: Dict[str, Set[str]] = {}
-        for state in self._locks.values():
-            for position, entry in enumerate(state.queue):
+    def _blockers(self, txn_id: str) -> Set[str]:
+        """Out-edges of ``txn_id`` in the wait-for graph: the other holders
+        of every key it waits on, and the earlier live waiters there."""
+        blockers: Set[str] = set()
+        for key in self._queued_by_txn.get(txn_id, ()):
+            state = self._locks[key]
+            earlier: List[str] = []
+            waits = False
+            for entry in state.queue:
                 if entry.event.triggered:
                     continue
-                blockers = {holder for holder in state.holders if holder != entry.txn_id}
-                for earlier in state.queue[:position]:
-                    if not earlier.event.triggered and earlier.txn_id != entry.txn_id:
-                        blockers.add(earlier.txn_id)
-                if blockers:
-                    edges.setdefault(entry.txn_id, set()).update(blockers)
-        return edges
+                if entry.txn_id == txn_id:
+                    waits = True
+                    blockers.update(earlier)
+                    earlier.clear()
+                else:
+                    earlier.append(entry.txn_id)
+            if waits:
+                blockers.update(state.holders)
+        blockers.discard(txn_id)
+        return blockers
 
     def _find_cycle(self, start: str) -> Optional[List[str]]:
-        """DFS from ``start`` through the wait-for graph looking for a cycle."""
-        edges = self._wait_for_edges()
+        """DFS from ``start`` through the wait-for graph looking for a cycle.
+
+        A transaction's out-edges are computed when the search reaches it,
+        so the cost follows the waiters the search visits, not the table.
+        """
         path: List[str] = []
         visited: Set[str] = set()
 
@@ -321,7 +347,7 @@ class LockManager:
             path.append(node)
             # Sorted: neighbour order decides which cycle the DFS reports,
             # and the cycle tuple reaches abort reasons (and thus traces).
-            for neighbour in sorted(edges.get(node, ())):
+            for neighbour in sorted(self._blockers(node)):
                 found = dfs(neighbour)
                 if found is not None:
                     return found

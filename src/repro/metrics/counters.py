@@ -37,7 +37,10 @@ class MessageCounters:
         self.by_category[message.category] += 1
         txn_id = message.payload.get("txn_id")
         if txn_id is not None:
-            self.by_txn.setdefault(txn_id, Counter())[message.category] += 1
+            counter = self.by_txn.get(txn_id)
+            if counter is None:
+                counter = self.by_txn[txn_id] = Counter()
+            counter[message.category] += 1
 
     # queries ------------------------------------------------------------------
 
@@ -93,10 +96,7 @@ class RegionMessageCounters:
     def on_message(self, message: Message) -> None:
         if self.topology is None:
             return
-        pair = (
-            self.topology.region_of(message.src),
-            self.topology.region_of(message.dst),
-        )
+        pair = self.topology.link(message.src, message.dst)[0]
         self.by_pair[pair] += 1
         self.bytes_by_pair[pair] += message_wire_size(message)
         if pair[0] == pair[1]:

@@ -370,7 +370,7 @@ class Network:
         message = Message(msg_id, src, dst, kind, body, category, reply_to)
         if self.message_hook is not None:
             self.message_hook.on_message(message)
-        if self.tracer is not None:
+        if self.tracer is not None and self.tracer.enabled:
             # txn_id/query_id (when the payload carries them) let offline
             # checkers correlate wire traffic per transaction.
             self.tracer.record(
@@ -400,7 +400,7 @@ class Network:
         if drop_reason is not None:
             if self.faults is not None:
                 self.faults.on_drop(drop_reason)
-            if self.tracer is not None:
+            if self.tracer is not None and self.tracer.enabled:
                 self.tracer.record(
                     self.env.now,
                     "net.drop",
@@ -453,7 +453,7 @@ class Network:
             if self.faults is not None:
                 self.faults.on_drop("down")
             return
-        if self.tracer is not None:
+        if self.tracer is not None and self.tracer.enabled:
             self.tracer.record(
                 self.env.now,
                 "net.recv",

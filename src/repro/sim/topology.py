@@ -18,7 +18,10 @@ Latency units follow the repo convention (one unit ≈ 1 ms); bandwidth is
 bytes per unit, so 12 500 bytes/unit ≈ 100 Mbit/s.  Message sizes are
 *estimated* from payload structure (:func:`estimate_wire_size`) — objects
 may publish an explicit ``__wire_size__()`` — and the estimate is
-deterministic, so topology-aware runs remain seed-reproducible.
+deterministic, so topology-aware runs remain seed-reproducible.  Both
+per-message costs are flat: a payload is sized in one pass through a
+per-class sizer table, and each node pair's region pair and link profile
+are looked up once and memoized (:meth:`RegionTopology.link`).
 
 See docs/scale.md for the full semantics and the default WAN matrix.
 """
@@ -26,8 +29,9 @@ See docs/scale.md for the full semantics and the default WAN matrix.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.network import LatencyModel, Message
@@ -89,6 +93,11 @@ class RegionTopology:
     Nodes that were never :meth:`place`\\ d live in ``default_region``
     (the first region unless overridden) — the network stays usable while
     a testbed is being wired up.
+
+    :meth:`link` memoizes each node pair's region pair and profile, filled
+    on the pair's first message; placing a node, declaring a profile, or
+    rebinding ``intra_profile``, ``default_profile`` or ``default_region``
+    empties the memo.
     """
 
     def __init__(
@@ -104,6 +113,7 @@ class RegionTopology:
             raise SimulationError("a topology needs at least one region")
         if len(set(self.regions)) != len(self.regions):
             raise SimulationError(f"duplicate regions in {self.regions!r}")
+        self._links: Dict[Tuple[str, str], Tuple[Tuple[str, str], LinkProfile]] = {}
         self.intra_profile = intra_profile or LinkProfile(0.5, 0.3)
         self.default_profile = default_profile or LinkProfile(60.0, 0.15, 2_500.0)
         self.default_region = default_region or self.regions[0]
@@ -114,6 +124,39 @@ class RegionTopology:
             self.set_profile(src, dst, profile)
         self._placement: Dict[str, str] = {}
 
+    # Rebinding any of these changes what some node pair's link resolves
+    # to, so each setter empties the link memo.
+
+    @property
+    def intra_profile(self) -> LinkProfile:
+        """Profile of every intra-region pair without an explicit one."""
+        return self._intra_profile
+
+    @intra_profile.setter
+    def intra_profile(self, profile: LinkProfile) -> None:
+        self._intra_profile = profile
+        self._links.clear()
+
+    @property
+    def default_profile(self) -> LinkProfile:
+        """Profile of every cross-region pair without an explicit one."""
+        return self._default_profile
+
+    @default_profile.setter
+    def default_profile(self, profile: LinkProfile) -> None:
+        self._default_profile = profile
+        self._links.clear()
+
+    @property
+    def default_region(self) -> str:
+        """Region of every node that was never placed."""
+        return self._default_region
+
+    @default_region.setter
+    def default_region(self, region: str) -> None:
+        self._default_region = region
+        self._links.clear()
+
     # -- matrix ------------------------------------------------------------
 
     def set_profile(self, src: str, dst: str, profile: LinkProfile) -> None:
@@ -122,6 +165,7 @@ class RegionTopology:
             if region not in self.regions:
                 raise SimulationError(f"unknown region {region!r}")
         self._profiles[(src, dst)] = profile
+        self._links.clear()
 
     def profile_between(self, src_region: str, dst_region: str) -> LinkProfile:
         """The effective profile for a region pair (symmetric fill)."""
@@ -141,6 +185,7 @@ class RegionTopology:
         if region not in self.regions:
             raise SimulationError(f"unknown region {region!r}")
         self._placement[node] = region
+        self._links.clear()
 
     def place_all(self, nodes: Iterable[str], region: str) -> None:
         for node in nodes:
@@ -148,7 +193,7 @@ class RegionTopology:
 
     def region_of(self, node: str) -> str:
         """The region a node lives in (``default_region`` if unplaced)."""
-        return self._placement.get(node, self.default_region)
+        return self._placement.get(node, self._default_region)
 
     def placement(self) -> Dict[str, str]:
         """A copy of the node → region map (placed nodes only)."""
@@ -159,7 +204,15 @@ class RegionTopology:
 
     def profile(self, src: str, dst: str) -> LinkProfile:
         """The link profile between two *nodes*."""
-        return self.profile_between(self.region_of(src), self.region_of(dst))
+        return self.link(src, dst)[1]
+
+    def link(self, src: str, dst: str) -> Tuple[Tuple[str, str], LinkProfile]:
+        """``((src region, dst region), profile)`` for a node pair, memoized."""
+        link = self._links.get((src, dst))
+        if link is None:
+            pair = (self.region_of(src), self.region_of(dst))
+            link = self._links[(src, dst)] = (pair, self.profile_between(*pair))
+        return link
 
 
 def default_wan_topology(
@@ -195,47 +248,115 @@ def default_wan_topology(
 
 
 # -- message size estimation ---------------------------------------------------
+#
+# One sizer per concrete class, chosen on the class's first appearance by
+# the rules of estimate_wire_size's docstring, so that sizing a value costs
+# one table lookup and one call (none for strings inside containers) rather
+# than a chain of isinstance checks against ABCs.
+
+#: Containers nested this deep are charged a flat size instead of walked.
+MAX_WALK_DEPTH = 4
+
+Sizer = Callable[[Any, int], int]
+
+
+def _size_one(value: Any, depth: int) -> int:
+    return 1
+
+
+def _size_number(value: Any, depth: int) -> int:
+    return 8
+
+
+def _size_len(value: Any, depth: int) -> int:
+    return len(value)
+
+
+def _size_dict(value: Any, depth: int) -> int:
+    if depth >= MAX_WALK_DEPTH:
+        return DEFAULT_OBJECT_BYTES
+    depth += 1
+    sizers = _SIZERS
+    total = 8
+    for key, item in value.items():
+        total += len(key) if type(key) is str else sizers[type(key)](key, depth)
+        total += len(item) if type(item) is str else sizers[type(item)](item, depth)
+    return total
+
+
+def _size_sequence(value: Any, depth: int) -> int:
+    if depth >= MAX_WALK_DEPTH:
+        return DEFAULT_OBJECT_BYTES
+    depth += 1
+    sizers = _SIZERS
+    total = 8
+    for item in value:
+        total += len(item) if type(item) is str else sizers[type(item)](item, depth)
+    return total
+
+
+def _object_sizer(walk: Optional[Sizer]) -> Sizer:
+    """Sizer for a class that is not a builtin scalar: an instance's own
+    ``__wire_size__`` first, then ``walk`` (a container's) or the flat size."""
+
+    def size(value: Any, depth: int) -> int:
+        wire_size = getattr(value, "__wire_size__", None)
+        if wire_size is not None:
+            return int(wire_size())
+        return DEFAULT_OBJECT_BYTES if walk is None else walk(value, depth)
+
+    return size
+
+
+def _sizer_for(cls: type) -> Sizer:
+    if cls is type(None) or issubclass(cls, bool):
+        return _size_one
+    if issubclass(cls, (int, float)):
+        return _size_number
+    if issubclass(cls, (str, bytes, bytearray)):
+        return _size_len
+    # Exact builtin containers take no attributes, so they can have no
+    # __wire_size__; subclasses, namedtuples and other mappings can.
+    if cls is dict:
+        return _size_dict
+    if cls is list or cls is tuple:
+        return _size_sequence
+    if issubclass(cls, Mapping):
+        return _object_sizer(_size_dict)
+    if issubclass(cls, (tuple, list)):
+        return _object_sizer(_size_sequence)
+    return _object_sizer(None)
+
+
+class _SizerTable(dict):
+    """Class → sizer, filled on each class's first lookup."""
+
+    def __missing__(self, cls: type) -> Sizer:
+        sizer = self[cls] = _sizer_for(cls)
+        return sizer
+
+
+_SIZERS = _SizerTable()
 
 
 def estimate_wire_size(value: Any, _depth: int = 0) -> int:
     """Deterministic, structural wire-size estimate (bytes) for a payload.
 
-    Strings/bytes count their length, numbers 8 bytes, containers recurse
-    (to a bounded depth), and arbitrary objects either answer
-    ``__wire_size__()`` or are charged a flat :data:`DEFAULT_OBJECT_BYTES`.
-    The estimate never inspects object internals, so it is cheap on the
-    send hot path and stable across runs.
+    ``None`` and booleans count 1 byte, other numbers 8, strings/bytes
+    their length — subclasses included, and before any ``__wire_size__``.
+    Other objects answer ``__wire_size__()`` if they have one (looked up on
+    the instance); otherwise mappings, tuples and lists are walked to a
+    bounded depth (8 bytes plus their keys and items) and everything else
+    is charged a flat :data:`DEFAULT_OBJECT_BYTES`.  The estimate never
+    inspects object internals, so it is cheap on the send hot path and
+    stable across runs.
     """
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    wire_size = getattr(value, "__wire_size__", None)
-    if wire_size is not None:
-        return int(wire_size())
-    if _depth >= 4:
-        return DEFAULT_OBJECT_BYTES
-    if isinstance(value, Mapping):
-        total = 8
-        for key, item in value.items():
-            total += estimate_wire_size(key, _depth + 1)
-            total += estimate_wire_size(item, _depth + 1)
-        return total
-    if isinstance(value, (tuple, list)):
-        total = 8
-        for item in value:
-            total += estimate_wire_size(item, _depth + 1)
-        return total
-    return DEFAULT_OBJECT_BYTES
+    return _SIZERS[type(value)](value, _depth)
 
 
 def estimate_message_size(payload: Mapping[str, Any]) -> int:
     """Bytes on the wire for one message: framing overhead + payload."""
-    return MESSAGE_OVERHEAD_BYTES + estimate_wire_size(payload)
+    return MESSAGE_OVERHEAD_BYTES + _SIZERS[type(payload)](payload, 0)
 
 
 def message_wire_size(message: Message) -> int:

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.network import Message
+from repro.sim.kernel import Environment
+from repro.sim.network import Message, Network, Node
 from repro.sim.topology import (
     DEFAULT_REGIONS,
     MESSAGE_OVERHEAD_BYTES,
@@ -172,3 +173,80 @@ class TestRegionalLatency:
         rng = random.Random(0)
         message = Message(1, "n1", "n2", "k", {"x": "y" * 1000}, "cat")
         assert model.sample_message(rng, message) == 10.0
+
+
+class TestLinkMemo:
+    """Every rebinding that changes a node pair's link empties the memo."""
+
+    def make(self):
+        topo = RegionTopology(
+            ["a", "b"], intra_profile=LinkProfile(1.0), default_profile=LinkProfile(10.0)
+        )
+        topo.place("n1", "a")
+        topo.place("n2", "b")
+        for src, dst in (("n1", "n2"), ("n1", "n1"), ("n1", "unplaced")):
+            topo.link(src, dst)  # fill the memo
+        return topo
+
+    def test_link_is_region_pair_and_profile(self):
+        topo = self.make()
+        assert topo.link("n1", "n2") == (("a", "b"), topo.default_profile)
+        assert topo.link("n1", "n1") == (("a", "a"), topo.intra_profile)
+
+    def test_place(self):
+        topo = self.make()
+        topo.place("n2", "a")
+        assert topo.link("n1", "n2") == (("a", "a"), topo.intra_profile)
+        assert not topo.is_cross_region("n1", "n2")
+
+    def test_set_profile(self):
+        topo = self.make()
+        link = LinkProfile(3.0)
+        topo.set_profile("b", "a", link)
+        assert topo.link("n1", "n2")[1] is link
+        assert topo.profile("n2", "n1") is link
+
+    def test_intra_profile(self):
+        topo = self.make()
+        topo.intra_profile = link = LinkProfile(3.0)
+        assert topo.link("n1", "n1")[1] is link
+
+    def test_default_profile(self):
+        topo = self.make()
+        topo.default_profile = link = LinkProfile(3.0)
+        assert topo.link("n1", "n2")[1] is link
+
+    def test_default_region(self):
+        topo = self.make()
+        topo.default_region = "b"
+        assert topo.link("n1", "unplaced") == (("a", "b"), topo.default_profile)
+
+
+class _Sink(Node):
+    def __init__(self, name):
+        super().__init__(name)
+        self.arrivals = []
+
+    def handle_message(self, message):
+        self.arrivals.append(self.env.now)
+
+
+def test_re_placing_a_node_changes_its_next_message_delay():
+    topo = RegionTopology(
+        ["a", "b"],
+        intra_profile=LinkProfile(1.0),
+        default_profile=LinkProfile(10.0, bandwidth=100.0),
+    )
+    topo.place("n1", "a")
+    topo.place("n2", "b")
+    env = Environment()
+    network = Network(env, latency=RegionalLatency(topo))
+    sender, sink = network.register(_Sink("n1")), network.register(_Sink("n2"))
+    sender.send("n2", "ping", "cat")
+    env.run()
+    assert sink.arrivals == [10.0 + estimate_message_size({}) / 100.0]
+    topo.place("n2", "a")
+    start = env.now
+    sender.send("n2", "ping", "cat")
+    env.run()
+    assert sink.arrivals[-1] - start == 1.0
